@@ -9,7 +9,6 @@ import json
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
